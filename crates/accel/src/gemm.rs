@@ -16,13 +16,10 @@
 //!   register block across the whole k-loop (one output write per lane
 //!   group instead of one read-modify-write per k-step), equally
 //!   bit-identical;
-//! * [`DispatchBackend`] (`auto`, the default) — a per-shape router:
-//!   each call's `(m, k, n)` is bucketed by size class
-//!   ([`create_tensor::dispatch`]) and forwarded to the
-//!   measured-fastest concrete backend for that bucket (the committed
-//!   `BENCH_kernels.json` shows `wide` winning narrow and
-//!   long-reduction shapes, `blocked` the rest). Routing between
-//!   bit-identical kernels is itself bit-identical.
+//! * [`DispatchBackend`] (`auto`, the default) — a per-shape router: a
+//!   compiled-in rule on each call's `(m, k, n)` picks `wide` or
+//!   `blocked`. Routing between bit-identical kernels is itself
+//!   bit-identical.
 //!
 //! The parity guarantee is not approximate: integer addition is exact and
 //! associative, and the final 24-bit wrap only depends on the low 32 bits
@@ -34,14 +31,10 @@
 //!
 //! The backend is part of [`AccelConfig`](crate::AccelConfig); its default
 //! comes from the `CREATE_GEMM_BACKEND` environment variable (`scalar`,
-//! `blocked`, `wide`, `auto` or `auto:<table.json>`, case-insensitive).
-//! Unset or empty selects [the default](GemmBackendKind::default)
-//! (`auto`); any other value warns on stderr and falls back to the
-//! default, mirroring `CREATE_REPS` / `CREATE_THREADS` validation. With
-//! `CREATE_GEMM_AUTOTUNE=1` the `auto` router measures the candidates on
-//! the actual host at first use and caches the winning table under
-//! `target/create-autotune/`; a malformed table or cache file warns and
-//! falls back to the compiled-in static table, never aborting.
+//! `blocked`, `wide` or `auto`, case-insensitive). Unset or empty selects
+//! [the default](GemmBackendKind::default) (`auto`); any other value
+//! warns on stderr and falls back to the default, mirroring
+//! `CREATE_REPS` / `CREATE_THREADS` validation.
 //!
 //! # Adding another backend
 //!
@@ -56,9 +49,8 @@
 //!    automatically held to the bit-parity bar.
 
 use crate::array;
-use create_tensor::{dispatch, QuantMatrix};
+use create_tensor::QuantMatrix;
 use std::fmt;
-use std::path::Path;
 use std::str::FromStr;
 
 /// A clean-compute GEMM implementation for the INT8 datapath.
@@ -293,194 +285,25 @@ impl GemmBackend for WideBackend {
 /// The `auto` backend: a per-shape router over the concrete INT8
 /// backends.
 ///
-/// Holds a flat [`dispatch::N_BUCKETS`]-entry lookup table indexed by the
-/// size-class bucket of `(m, k, n)` = (`a.rows()`, `a.cols()`,
-/// `w.cols()`). Dispatch is three integer compares plus an array index —
-/// no allocation, no string work — so the accelerator's steady-state
-/// allocation-free `linear_into` contract is untouched. Every cell is a
-/// *concrete* kind (nesting `auto` is rejected at construction), and
-/// every concrete backend is bit-identical, so routing cannot change a
-/// single accumulator bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchBackend {
-    lut: [GemmBackendKind; dispatch::N_BUCKETS],
-}
-
-/// File name of the INT8 autotune cache under the autotune directory.
-pub const I8_AUTOTUNE_FILE: &str = "gemm_i8.json";
-
-/// The op name INT8 dispatch rules use in table JSON.
-const I8_OP: &str = "gemm_i8";
-
-/// The representative shapes the one-shot autotune measures — the
-/// `kernels` bench's GEMM shape set (planner prefill, controller decode,
-/// small attention products, the one-hot view featurizer).
-pub const AUTOTUNE_SHAPES: [(usize, usize, usize); 5] = [
-    (16, 256, 256),
-    (1, 512, 128),
-    (4, 32, 32),
-    (1, 64, 16),
-    (4, 686, 32),
-];
+/// Each call's `(m, k, n)` = (`a.rows()`, `a.cols()`, `w.cols()`) picks a
+/// kernel with a few integer compares — `wide` for narrow outputs (`n ≤
+/// 16`, the controller head) and for long reductions into mid-width
+/// outputs (`k > 128`, `n ≤ 48`, the one-hot featurizer), `blocked` for
+/// everything else, per the per-shape winners in the committed
+/// `results/baseline/BENCH_kernels.json`. No allocation, no state, so the
+/// accelerator's allocation-free `linear_into` contract is untouched, and
+/// every route is bit-identical, so routing cannot change a single
+/// accumulator bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchBackend;
 
 impl DispatchBackend {
-    /// The compiled-in static dispatch table, derived from the committed
-    /// `results/baseline/BENCH_kernels.json`: `wide` wins narrow outputs
-    /// (`n` lo — the controller head) and long reductions into mid-width
-    /// outputs (`k` hi, `n` mid — the one-hot featurizer); `blocked`
-    /// keeps everything else. To regenerate after re-benching, compare
-    /// per-shape winners in `BENCH_kernels.json` (see README §
-    /// Performance).
-    pub fn built_in_table() -> dispatch::RawTable {
-        use dispatch::Band::{Hi, Lo, Mid};
-        let rule = |k: Option<dispatch::Band>, n: Option<dispatch::Band>, backend: &str| {
-            dispatch::RawRule {
-                op: I8_OP.to_string(),
-                m: None,
-                k,
-                n,
-                backend: backend.to_string(),
-            }
-        };
-        dispatch::RawTable {
-            version: dispatch::TABLE_VERSION,
-            rules: vec![
-                rule(None, Some(Lo), "wide"),
-                rule(Some(Hi), Some(Mid), "wide"),
-                rule(None, None, "blocked"),
-            ],
-        }
-    }
-
-    /// The router resolved from the compiled-in static table.
-    pub fn built_in() -> Self {
-        Self::from_table(&Self::built_in_table()).expect("static table must resolve")
-    }
-
-    /// Resolves a raw dispatch table, overlaying it on the static table
-    /// (buckets the table does not cover keep the committed defaults).
-    /// Fails on unsupported versions, unknown backends, or `auto`
-    /// nesting — so callers can fall back to [`built_in`](Self::built_in).
-    pub fn from_table(table: &dispatch::RawTable) -> Result<Self, String> {
-        let parse = |s: &str| match GemmBackendKind::from_str(s) {
-            Ok(GemmBackendKind::Auto) | Err(_) => None,
-            Ok(kind) => Some(kind),
-        };
-        let base = [GemmBackendKind::Blocked; dispatch::N_BUCKETS];
-        let built_in = Self::built_in_table().resolve(I8_OP, base, parse)?;
-        Ok(DispatchBackend {
-            lut: table.resolve(I8_OP, built_in, parse)?,
-        })
-    }
-
-    /// Full resolution policy — identical to the f32 router's
-    /// (`create_tensor::fgemm::DispatchF32Backend::resolve`): explicit
-    /// table > autotune cache > one-shot measurement > static, with
-    /// every parse/measure failure warning and falling back to the
-    /// static table. Exposed with explicit arguments so tests avoid
-    /// racing on the process environment.
-    pub fn resolve(explicit_table: Option<&Path>, autotune: bool, cache: &Path) -> Self {
-        if let Some(path) = explicit_table {
-            return match dispatch::load_table(path).and_then(|t| Self::from_table(&t)) {
-                Ok(backend) => backend,
-                Err(err) => {
-                    eprintln!(
-                        "[create] ignoring INT8 dispatch table {}: {err}; using built-in table",
-                        path.display()
-                    );
-                    Self::built_in()
-                }
-            };
-        }
-        if autotune {
-            if cache.exists() {
-                return match dispatch::load_table(cache).and_then(|t| Self::from_table(&t)) {
-                    Ok(backend) => backend,
-                    Err(err) => {
-                        eprintln!(
-                            "[create] ignoring corrupt INT8 autotune cache {}: {err}; \
-                             using built-in table",
-                            cache.display()
-                        );
-                        Self::built_in()
-                    }
-                };
-            }
-            let table = Self::autotune();
-            if let Err(err) = dispatch::store_table(cache, &table) {
-                eprintln!(
-                    "[create] cannot cache INT8 autotune table at {}: {err}",
-                    cache.display()
-                );
-            }
-            return match Self::from_table(&table) {
-                Ok(backend) => backend,
-                Err(err) => {
-                    eprintln!("[create] INT8 autotune produced an unusable table: {err}");
-                    Self::built_in()
-                }
-            };
-        }
-        Self::built_in()
-    }
-
-    /// One-shot autotune: times the concrete backends' `_into` path on
-    /// [`AUTOTUNE_SHAPES`] and emits per-bucket winners; uncovered
-    /// buckets keep the static table via the
-    /// [`from_table`](Self::from_table) overlay.
-    pub fn autotune() -> dispatch::RawTable {
-        let candidates = [
-            GemmBackendKind::Scalar,
-            GemmBackendKind::Blocked,
-            GemmBackendKind::Wide,
-        ];
-        let mut samples: Vec<(&str, usize, &str, f64)> = Vec::new();
-        let mut acc = Vec::new();
-        for &(m, k, n) in &AUTOTUNE_SHAPES {
-            let a = probe_quant(m, k, 1);
-            let w = probe_quant(k, n, 2);
-            let idx = dispatch::bucket(m, k, n);
-            for kind in candidates {
-                let backend = kind.instantiate();
-                samples.push((
-                    I8_OP,
-                    idx,
-                    kind.name(),
-                    dispatch::measure_ns(|| backend.gemm_i8_acc_into(&a, &w, &mut acc)),
-                ));
-            }
-        }
-        dispatch::table_from_measurements(&samples)
-    }
-
-    /// The process-wide `auto` router, resolved once from
-    /// `CREATE_GEMM_BACKEND=auto:<path>` / `CREATE_GEMM_AUTOTUNE`.
-    pub fn from_env() -> Self {
-        static AUTO: std::sync::OnceLock<DispatchBackend> = std::sync::OnceLock::new();
-        *AUTO.get_or_init(|| {
-            let raw = std::env::var("CREATE_GEMM_BACKEND").ok();
-            let explicit = raw
-                .as_deref()
-                .and_then(|s| s.trim().strip_prefix("auto:"))
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(Path::new);
-            Self::resolve(
-                explicit,
-                dispatch::autotune_requested(),
-                &dispatch::autotune_cache_path(I8_AUTOTUNE_FILE),
-            )
-        })
-    }
-
-    fn select(&self, a: &QuantMatrix, w: &QuantMatrix) -> &'static dyn GemmBackend {
-        match self.lut[dispatch::bucket(a.rows(), a.cols(), w.cols())] {
-            GemmBackendKind::Scalar => &ScalarBackend,
-            GemmBackendKind::Blocked => &BlockedBackend,
-            GemmBackendKind::Wide => &WideBackend,
-            // Unreachable by construction (from_table rejects nesting);
-            // route to the default concrete backend rather than recurse.
-            GemmBackendKind::Auto => &BlockedBackend,
+    fn select(a: &QuantMatrix, w: &QuantMatrix) -> &'static dyn GemmBackend {
+        let (k, n) = (a.cols(), w.cols());
+        if n <= 16 || (k > 128 && n <= 48) {
+            &WideBackend
+        } else {
+            &BlockedBackend
         }
     }
 }
@@ -491,26 +314,12 @@ impl GemmBackend for DispatchBackend {
     }
 
     fn gemm_i8_acc(&self, a: &QuantMatrix, w: &QuantMatrix) -> Vec<i32> {
-        self.select(a, w).gemm_i8_acc(a, w)
+        Self::select(a, w).gemm_i8_acc(a, w)
     }
 
     fn gemm_i8_acc_into(&self, a: &QuantMatrix, w: &QuantMatrix, acc: &mut Vec<i32>) {
-        self.select(a, w).gemm_i8_acc_into(a, w, acc)
+        Self::select(a, w).gemm_i8_acc_into(a, w, acc)
     }
-}
-
-/// Deterministic autotune probe data: an LCG fill over the full INT8
-/// code range (no RNG dependency, identical across runs).
-fn probe_quant(rows: usize, cols: usize, seed: u64) -> QuantMatrix {
-    use create_tensor::{Matrix, Precision, QuantParams};
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let m = Matrix::from_fn(rows, cols, |_, _| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 32) as i64 % 255 - 127) as f32
-    });
-    QuantMatrix::quantize_with(&m, QuantParams::from_scale(1.0, Precision::Int8))
 }
 
 /// Which [`GemmBackend`] an [`AccelConfig`](crate::AccelConfig) selects.
@@ -556,12 +365,9 @@ impl FromStr for GemmBackendKind {
             "blocked" => Ok(GemmBackendKind::Blocked),
             "wide" => Ok(GemmBackendKind::Wide),
             "auto" => Ok(GemmBackendKind::Auto),
-            // `auto:<table.json>` — the path is read by
-            // `DispatchBackend::from_env`, the kind is still `Auto`.
-            other if other.starts_with("auto:") => Ok(GemmBackendKind::Auto),
             other => Err(format!(
-                "unknown GEMM backend {other:?}: expected \"scalar\", \"blocked\", \"wide\", \
-                 \"auto\" or \"auto:<table.json>\""
+                "unknown GEMM backend {other:?}: expected \"scalar\", \"blocked\", \"wide\" \
+                 or \"auto\""
             )),
         }
     }
@@ -593,7 +399,7 @@ impl GemmBackendKind {
             GemmBackendKind::Scalar => Box::new(ScalarBackend),
             GemmBackendKind::Blocked => Box::new(BlockedBackend),
             GemmBackendKind::Wide => Box::new(WideBackend),
-            GemmBackendKind::Auto => Box::new(DispatchBackend::from_env()),
+            GemmBackendKind::Auto => Box::new(DispatchBackend),
         }
     }
 
@@ -651,7 +457,7 @@ mod tests {
         [
             Box::new(BlockedBackend),
             Box::new(WideBackend),
-            Box::new(DispatchBackend::built_in()),
+            Box::new(DispatchBackend),
         ]
     }
 
@@ -770,127 +576,69 @@ mod tests {
         assert_eq!(" Blocked\n".parse(), Ok(GemmBackendKind::Blocked));
         assert_eq!("WIDE".parse(), Ok(GemmBackendKind::Wide));
         assert_eq!("auto".parse(), Ok(GemmBackendKind::Auto));
-        assert_eq!(
-            " Auto:/some/table.json ".parse(),
-            Ok(GemmBackendKind::Auto),
-            "auto:<path> selects the dispatcher; the path is read separately"
-        );
         assert!("simd".parse::<GemmBackendKind>().is_err());
     }
 
+    /// Output columns `n` of every [`ROUTES`] row, one per boundary of
+    /// the routing rule.
+    const ROUTE_N: [usize; 6] = [1, 16, 17, 48, 49, 256];
+
+    /// The kernel `auto` runs for each boundary shape, as `((m, k), [name
+    /// for each n in ROUTE_N])`. Written out literally, not derived from
+    /// the rule, so a rule edit that moves any GEMM to another kernel
+    /// fails here.
+    #[rustfmt::skip]
+    const ROUTES: [((usize, usize), [&str; 6]); 36] = [
+        ((1, 1), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 8), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 9), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 128), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 129), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((1, 686), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((2, 1), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 8), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 9), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 128), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 129), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((2, 686), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((3, 1), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 8), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 9), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 128), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 129), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((3, 686), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((8, 1), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 8), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 9), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 128), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 129), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((8, 686), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((9, 1), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 8), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 9), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 128), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 129), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((9, 686), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((64, 1), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 8), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 9), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 128), ["wide", "wide", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 129), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+        ((64, 686), ["wide", "wide", "wide", "wide", "blocked", "blocked"]),
+    ];
+
     #[test]
-    fn dispatch_static_table_routes_by_size_class() {
-        let auto = DispatchBackend::built_in();
-        // The five committed bench shapes, routed per the measured
-        // winners in results/baseline/BENCH_kernels.json.
-        for (m, k, n, want) in [
-            (1usize, 64usize, 16usize, GemmBackendKind::Wide), // n lo: controller head
-            (4, 686, 32, GemmBackendKind::Wide),               // k hi, n mid: featurizer
-            (16, 256, 256, GemmBackendKind::Blocked),          // planner prefill
-            (1, 512, 128, GemmBackendKind::Blocked),           // planner decode
-            (4, 32, 32, GemmBackendKind::Blocked),             // attention products
-        ] {
-            assert_eq!(
-                auto.lut[dispatch::bucket(m, k, n)],
-                want,
-                "shape {m}x{k}x{n}"
-            );
-            assert_eq!(
-                auto.select(
-                    &quant_unit(&Matrix::zeros(m, k)),
-                    &quant_unit(&Matrix::zeros(k, n))
-                )
-                .name(),
-                want.name(),
-                "select() must agree with the lut for {m}x{k}x{n}"
-            );
+    fn dispatch_routes_every_boundary_shape_to_its_pinned_kernel() {
+        let routed = |m: usize, k: usize, n: usize| {
+            let a = quant_unit(&Matrix::zeros(m, k));
+            let w = quant_unit(&Matrix::zeros(k, n));
+            DispatchBackend::select(&a, &w).name()
+        };
+        for ((m, k), names) in ROUTES {
+            for (n, want) in ROUTE_N.into_iter().zip(names) {
+                assert_eq!(routed(m, k, n), want, "gemm_i8 {m}x{k}x{n}");
+            }
         }
-    }
-
-    #[test]
-    fn dispatch_rejects_auto_nesting_but_overlays_partial_tables() {
-        let nested = dispatch::RawTable {
-            version: dispatch::TABLE_VERSION,
-            rules: vec![dispatch::RawRule {
-                op: "gemm_i8".to_string(),
-                m: None,
-                k: None,
-                n: None,
-                backend: "auto".to_string(),
-            }],
-        };
-        assert!(
-            DispatchBackend::from_table(&nested).is_err(),
-            "auto must not route to itself"
-        );
-
-        // A partial table only overrides the buckets it names; everything
-        // else keeps the static defaults.
-        let partial = dispatch::RawTable {
-            version: dispatch::TABLE_VERSION,
-            rules: vec![dispatch::RawRule {
-                op: "gemm_i8".to_string(),
-                m: None,
-                k: None,
-                n: Some(dispatch::Band::Lo),
-                backend: "scalar".to_string(),
-            }],
-        };
-        let auto = DispatchBackend::from_table(&partial).expect("partial tables resolve");
-        assert_eq!(
-            auto.lut[dispatch::bucket(1, 64, 16)],
-            GemmBackendKind::Scalar
-        );
-        assert_eq!(
-            auto.lut[dispatch::bucket(4, 686, 32)],
-            GemmBackendKind::Wide,
-            "uncovered buckets keep the static table"
-        );
-    }
-
-    #[test]
-    fn dispatch_resolve_falls_back_on_missing_and_corrupt_tables() {
-        let dir = std::env::temp_dir().join(format!("create-i8-dispatch-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let corrupt = dir.join("corrupt.json");
-        std::fs::write(&corrupt, "{\"version\": 1, \"rules\": [{\"op\": tru").expect("write");
-        let cache = dir.join("unused-cache.json");
-        // Explicit-but-corrupt table → static, never a panic.
-        assert_eq!(
-            DispatchBackend::resolve(Some(&corrupt), false, &cache),
-            DispatchBackend::built_in()
-        );
-        // Explicit-but-missing table → static.
-        assert_eq!(
-            DispatchBackend::resolve(Some(&dir.join("nope.json")), false, &cache),
-            DispatchBackend::built_in()
-        );
-        // Autotune enabled but the cache is corrupt → static, and the
-        // corrupt cache is left in place for inspection (never
-        // re-measured, never deleted, never aborts).
-        assert_eq!(
-            DispatchBackend::resolve(None, true, &corrupt),
-            DispatchBackend::built_in()
-        );
-        assert!(corrupt.exists(), "fallback must not delete the evidence");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn autotune_measures_writes_cache_and_reloads_identically() {
-        let dir = std::env::temp_dir().join(format!("create-i8-autotune-{}", std::process::id()));
-        let cache = dir.join(I8_AUTOTUNE_FILE);
-        std::fs::remove_file(&cache).ok();
-        let first = DispatchBackend::resolve(None, true, &cache);
-        assert!(cache.exists(), "one-shot autotune must persist its table");
-        let reloaded = DispatchBackend::resolve(None, true, &cache);
-        assert_eq!(first, reloaded, "cache reload must reproduce the router");
-        // Whatever won, the routed results stay bit-identical to scalar.
-        let mut rng = StdRng::seed_from_u64(17);
-        let a = random_quant(4, 33, &mut rng);
-        let w = random_quant(33, 20, &mut rng);
-        assert_eq!(first.gemm_i8_acc(&a, &w), ScalarBackend.gemm_i8_acc(&a, &w));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -906,6 +654,10 @@ mod tests {
         );
         assert_eq!(
             GemmBackendKind::parse_env(Some("definitely-not-a-backend")),
+            GemmBackendKind::default()
+        );
+        assert_eq!(
+            GemmBackendKind::parse_env(Some("auto:/x.json")),
             GemmBackendKind::default()
         );
         assert_eq!(

@@ -12,7 +12,7 @@ use create_accel::gemm::GemmBackendKind;
 use create_accel::inject::{ErrorModel, InjectionTarget, Injector};
 use create_accel::sram::{MemoryFaultModel, Protection, SramBuffer};
 use create_accel::{AccelConfig, Accelerator};
-use create_bench::{emit_bench_json, measure_ns_per_iter, BenchRecord};
+use create_bench::{emit_bench_json, time_ns_per_iter, BenchRecord};
 use create_tensor::hadamard::fwht_normalized;
 use create_tensor::{Matrix, Precision, QuantMatrix, QuantParams};
 use criterion::{criterion_group, Criterion};
@@ -94,11 +94,11 @@ fn emit_kernels_json() {
         let macs = (m * k * n) as u64;
         for kind in GemmBackendKind::ALL {
             let backend = kind.instantiate();
-            let ns = measure_ns_per_iter(|| {
+            let ns = time_ns_per_iter(|| {
                 black_box(backend.gemm_i8_acc(black_box(&a), black_box(&w)));
             });
             let mut acc = Vec::new();
-            let ns_into = measure_ns_per_iter(|| {
+            let ns_into = time_ns_per_iter(|| {
                 backend.gemm_i8_acc_into(black_box(&a), black_box(&w), &mut acc);
                 black_box(acc.len());
             });
@@ -128,11 +128,11 @@ fn emit_kernels_json() {
         );
         let macs = (m * k * n) as u64;
         let mut accel = Accelerator::new(AccelConfig::default(), 0);
-        let ns = measure_ns_per_iter(|| {
+        let ns = time_ns_per_iter(|| {
             black_box(accel.linear(&x, &w, params, 4.0, ctx));
         });
         let mut out = Matrix::zeros(0, 0);
-        let ns_into = measure_ns_per_iter(|| {
+        let ns_into = time_ns_per_iter(|| {
             accel.linear_into(&x, &w, params, 4.0, ctx, &mut out);
             black_box(out.rows());
         });

@@ -6,13 +6,16 @@
 //! and a real socket round trip per request. At each concurrency level,
 //! `c` clients each run a connect-once, call → await loop (one request
 //! outstanding per client), measuring requests/s and client-observed
-//! p50/p99 latency. Levels come from `CREATE_NET_LEVELS`
-//! (comma-separated, default `1,4,16`; CI smoke runs `1,4`), and each
-//! level's request count derives from the level alone, so the record
-//! keys — and the committed baseline in
+//! p50 and tail latency (`p99_ms` from 100 requests on, `max_ms` below
+//! that — [`create_bench::tail_ms`]). Levels come from
+//! `CREATE_NET_LEVELS` (comma-separated, default `1,4,16`; CI smoke runs
+//! `1,4`), and each level's request count derives from the level alone,
+//! so the record keys — and the committed baseline in
 //! `results/baseline/BENCH_net.json` — are stable across machines.
 
-use create_bench::{banner, emit_bench_json, jarvis_deployment, BenchRecord, Stopwatch};
+use create_bench::{
+    banner, emit_bench_json, jarvis_deployment, percentile_ms, tail_ms, BenchRecord, Stopwatch,
+};
 use create_core::prelude::*;
 use create_env::TaskId;
 use create_net::{NetClient, NetClientConfig, NetConfig, NetResponse, NetServer, WireConfig};
@@ -67,14 +70,6 @@ fn requests_for(concurrency: usize) -> u64 {
     (3 * concurrency as u64).max(48)
 }
 
-fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p * (sorted_ns.len() - 1) as f64).round() as usize).min(sorted_ns.len() - 1);
-    sorted_ns[idx] as f64 / 1e6
-}
-
 fn main() {
     let _t = Stopwatch::start("net");
     let dep = Arc::new(jarvis_deployment());
@@ -89,7 +84,7 @@ fn main() {
         "requests",
         "requests_per_s",
         "p50_ms",
-        "p99_ms",
+        "tail_ms",
     ]);
     let mut records = Vec::new();
     for concurrency in net_levels() {
@@ -169,13 +164,13 @@ fn main() {
         sorted.sort_unstable();
         let requests_per_s = requests as f64 / elapsed.max(1e-9);
         let p50 = percentile_ms(&sorted, 0.50);
-        let p99 = percentile_ms(&sorted, 0.99);
+        let (tail_field, tail) = tail_ms(&sorted);
         table.row(vec![
             concurrency.to_string(),
             requests.to_string(),
             format!("{requests_per_s:.2}"),
             format!("{p50:.2}"),
-            format!("{p99:.2}"),
+            format!("{tail:.2} ({tail_field})"),
         ]);
         records.push(
             BenchRecord::new()
@@ -189,7 +184,7 @@ fn main() {
                 .num("elapsed_s", elapsed)
                 .num("requests_per_s", requests_per_s)
                 .num("p50_ms", p50)
-                .num("p99_ms", p99),
+                .num(tail_field, tail),
         );
     }
     println!("{}", table.render());

@@ -4,14 +4,17 @@
 //! At each concurrency level, `c` client threads each run a
 //! submit → wait loop (one request outstanding per client) against a
 //! `MissionEngine` with a pinned worker count, measuring missions/s and
-//! the p50/p99 end-to-end latency (queue wait + service) per served
-//! mission. Levels come from `CREATE_SERVE_LEVELS` (comma-separated,
-//! default `1,8,64`; CI smoke runs `1,8`), and each level's mission
-//! count derives from the level alone, so the record keys — and the
-//! committed baseline in `results/baseline/BENCH_serve.json` — are
-//! stable across machines.
+//! the p50 and tail end-to-end latency (queue wait + service) per
+//! served mission — the tail is `p99_ms` from 100 missions on and
+//! `max_ms` below that ([`create_bench::tail_ms`]). Levels come from
+//! `CREATE_SERVE_LEVELS` (comma-separated, default `1,8,64`; CI smoke
+//! runs `1,8`), and each level's mission count derives from the level
+//! alone, so the record keys — and the committed baseline in
+//! `results/baseline/BENCH_serve.json` — are stable across machines.
 
-use create_bench::{banner, emit_bench_json, jarvis_deployment, BenchRecord, Stopwatch};
+use create_bench::{
+    banner, emit_bench_json, jarvis_deployment, percentile_ms, tail_ms, BenchRecord, Stopwatch,
+};
 use create_core::prelude::*;
 use create_env::TaskId;
 use create_serve::{MissionEngine, MissionRequest, ServeConfig};
@@ -65,14 +68,6 @@ fn missions_for(concurrency: usize) -> u64 {
     (3 * concurrency as u64).max(48)
 }
 
-fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p * (sorted_ns.len() - 1) as f64).round() as usize).min(sorted_ns.len() - 1);
-    sorted_ns[idx] as f64 / 1e6
-}
-
 fn main() {
     let _t = Stopwatch::start("serve");
     let dep = Arc::new(jarvis_deployment());
@@ -88,7 +83,7 @@ fn main() {
         "missions",
         "missions_per_s",
         "p50_ms",
-        "p99_ms",
+        "tail_ms",
     ]);
     let mut records = Vec::new();
     for concurrency in serve_levels() {
@@ -158,13 +153,13 @@ fn main() {
         sorted.sort_unstable();
         let missions_per_s = missions as f64 / elapsed.max(1e-9);
         let p50 = percentile_ms(&sorted, 0.50);
-        let p99 = percentile_ms(&sorted, 0.99);
+        let (tail_field, tail) = tail_ms(&sorted);
         table.row(vec![
             concurrency.to_string(),
             missions.to_string(),
             format!("{missions_per_s:.2}"),
             format!("{p50:.2}"),
-            format!("{p99:.2}"),
+            format!("{tail:.2} ({tail_field})"),
         ]);
         records.push(
             BenchRecord::new()
@@ -177,13 +172,13 @@ fn main() {
                 .num("elapsed_s", elapsed)
                 .num("missions_per_s", missions_per_s)
                 .num("p50_ms", p50)
-                .num("p99_ms", p99),
+                .num(tail_field, tail),
         );
     }
     println!("{}", table.render());
     emit_bench_json("serve", &records);
     println!(
         "Expected shape: missions/s climbs toward the {WORKERS}-worker\n\
-         service ceiling as clients increase, then p99 grows with queueing."
+         service ceiling as clients increase, then the tail grows with queueing."
     );
 }

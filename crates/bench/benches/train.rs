@@ -18,7 +18,7 @@ use create_agents::presets::{ControllerPreset, PlannerPreset};
 use create_agents::{
     datasets, vocab, ControllerModel, ControllerTrainScratch, PlannerModel, PlannerTrainScratch,
 };
-use create_bench::{banner, emit_bench_json, measure_ns_per_iter, BenchRecord, Stopwatch};
+use create_bench::{banner, emit_bench_json, time_ns_per_iter, BenchRecord, Stopwatch};
 use create_env::TaskId;
 use create_tensor::{FloatBackendKind, Matrix};
 use rand::rngs::StdRng;
@@ -81,15 +81,15 @@ fn bench_f32_gemms(records: &mut Vec<BenchRecord>) {
             let backend = kind.backend();
             // Forward product, input-gradient product, weight-gradient
             // product — the three GEMMs every training layer performs.
-            let nn = measure_ns_per_iter(|| {
+            let nn = time_ns_per_iter(|| {
                 backend.matmul_into(black_box(&a), black_box(&b), &mut out);
                 black_box(out.len());
             });
-            let nt = measure_ns_per_iter(|| {
+            let nt = time_ns_per_iter(|| {
                 backend.matmul_nt_into(black_box(&a), black_box(&bt), &mut out);
                 black_box(out.len());
             });
-            let tn = measure_ns_per_iter(|| {
+            let tn = time_ns_per_iter(|| {
                 backend.matmul_tn_into(black_box(&a), black_box(&c), &mut out);
                 black_box(out.len());
             });

@@ -61,7 +61,7 @@ fn key_without(record: &FlatRecord, field: &str) -> String {
 
 /// Gate: the `auto` dispatch backend must match or beat the best single
 /// concrete backend on **every** measured shape (within tolerance) —
-/// otherwise the static dispatch table routed a bucket to the wrong
+/// otherwise its compiled-in shape rule routed a shape to the wrong
 /// kernel. Compares fresh records only (same run, same machine, same
 /// noise floor), grouped by configuration-minus-backend.
 fn gate_auto_vs_best(file: &str, fresh: &[FlatRecord], tolerance: f64) -> usize {
@@ -486,7 +486,7 @@ fn main() -> ExitCode {
         }
         compared += rows.len();
         // The intra-run gates exist to catch *routing mistakes* — a
-        // bucket sent to a kernel that is 2–4× off the winner — not
+        // shape sent to a kernel that is 2–4× off the winner — not
         // measurement drift: on shared/virtualized hosts the measured
         // speed of the *same* kernel swings by ~30% minute to minute
         // (an A/B check of dispatched-vs-direct calls shows <2% true

@@ -197,7 +197,7 @@ pub fn primary_metric(record: &FlatRecord) -> Option<(&'static str, f64, bool)> 
 /// short calibration warm-up — the fixed-cost timer behind the
 /// `BENCH_*.json` records (criterion's shim prints human-readable output;
 /// this produces the machine-readable numbers).
-pub fn measure_ns_per_iter(mut f: impl FnMut()) -> f64 {
+pub fn time_ns_per_iter(mut f: impl FnMut()) -> f64 {
     use std::time::Instant;
     // Calibrate: how many iterations fit ~20 ms?
     let start = Instant::now();
@@ -220,6 +220,32 @@ pub fn measure_ns_per_iter(mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
     samples[samples.len() / 2]
+}
+
+/// Fewest samples a reported p99 needs: below this the nearest-rank 99th
+/// percentile is the sample maximum (or its neighbour), so the tail is
+/// reported as the maximum under its own name.
+const P99_MIN_SAMPLES: usize = 100;
+
+/// Nearest-rank percentile `p` (in `[0, 1]`) of ascending nanosecond
+/// samples, in milliseconds; `0` when there are none.
+pub fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
+    if sorted_ns.is_empty() {
+        return 0.0;
+    }
+    let idx = ((p * (sorted_ns.len() - 1) as f64).round() as usize).min(sorted_ns.len() - 1);
+    sorted_ns[idx] as f64 / 1e6
+}
+
+/// The latency tail of ascending nanosecond samples as `(field, ms)`:
+/// `("p99_ms", p99)` from 100 samples on, `("max_ms", max)` below that,
+/// so a record never labels a sample maximum "p99".
+pub fn tail_ms(sorted_ns: &[u64]) -> (&'static str, f64) {
+    if sorted_ns.len() >= P99_MIN_SAMPLES {
+        ("p99_ms", percentile_ms(sorted_ns, 0.99))
+    } else {
+        ("max_ms", percentile_ms(sorted_ns, 1.0))
+    }
 }
 
 /// Prints a figure banner.
@@ -342,12 +368,21 @@ mod tests {
     }
 
     #[test]
-    fn measure_ns_per_iter_is_positive_and_sane() {
+    fn time_ns_per_iter_is_positive_and_sane() {
         let mut x = 0u64;
-        let ns = measure_ns_per_iter(|| {
+        let ns = time_ns_per_iter(|| {
             x = x.wrapping_add(std::hint::black_box(1));
         });
         assert!(ns > 0.0 && ns < 1e7, "implausible ns/iter: {ns}");
+    }
+
+    #[test]
+    fn tail_is_the_max_below_a_hundred_samples_and_p99_from_there() {
+        let ms = |n: u64| (1..=n).map(|i| i * 1_000_000).collect::<Vec<u64>>();
+        assert_eq!(tail_ms(&ms(48)), ("max_ms", 48.0));
+        assert_eq!(percentile_ms(&ms(48), 0.50), 25.0);
+        assert_eq!(tail_ms(&ms(1000)), ("p99_ms", 990.0));
+        assert_eq!(tail_ms(&[]), ("max_ms", 0.0));
     }
 
     #[test]

@@ -181,12 +181,11 @@ pub trait ExperimentPoint: Sync {
 /// points/trials get decorrelated streams and the mapping never depends
 /// on scheduling.
 pub fn derive_seed(base_seed: u64, point_index: usize, trial_index: u32) -> u64 {
-    let mut z = base_seed
-        .wrapping_add((point_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add((trial_index as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    create_tensor::seed::mix64(
+        base_seed
+            .wrapping_add((point_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add((trial_index as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)),
+    )
 }
 
 /// Reads a positive integer environment variable, rejecting `0` and
@@ -720,6 +719,13 @@ mod tests {
         let (order, seeds) = run_point_range(&Cell { trials: 9 }, 1, 99, 2, 4).finish();
         assert_eq!(order, vec![2, 3, 4, 5]);
         assert_eq!(seeds, full[1].1[2..6].to_vec());
+    }
+
+    #[test]
+    fn derive_seed_matches_known_answers() {
+        assert_eq!(derive_seed(0, 0, 0), 0x8209_B480_FAED_1B10);
+        assert_eq!(derive_seed(0x5E12E, 3, 7), 0x0A08_58D9_4089_0C51);
+        assert_eq!(derive_seed(u64::MAX, 1000, 39), 0x2127_ACD9_20C8_BD43);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! the request history (the exact property the sweep gets from salting
 //! its draws with the recovery generation).
 
+use create_tensor::seed::{mix64, unit_f64};
+
 /// Salt decorrelating net chaos draws from the serving engine's and the
 /// sweep's (each has its own salt) and from the mission RNG streams.
 const NET_CHAOS_SALT: u64 = 0x7E1E_C0DE_5A17_ED0D;
@@ -34,16 +36,10 @@ pub enum NetFault {
     StalledRead,
 }
 
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The raw chaos draw for one response: a pure function of the served
 /// mission's final seed.
 pub fn chaos_draw(outcome_seed: u64) -> u64 {
-    mix(outcome_seed ^ NET_CHAOS_SALT)
+    mix64(outcome_seed ^ NET_CHAOS_SALT)
 }
 
 /// Whether chaos fires on this response, and which fault, given `draw`
@@ -54,7 +50,7 @@ pub fn plan_fault(probability: f64, draw: u64) -> Option<NetFault> {
     if probability <= 0.0 {
         return None;
     }
-    let fires = probability >= 1.0 || ((draw >> 11) as f64 / (1u64 << 53) as f64) < probability;
+    let fires = probability >= 1.0 || unit_f64(draw) < probability;
     if !fires {
         return None;
     }

@@ -20,13 +20,13 @@
 
 use crate::wire::{frame, ClientMsg, FrameBuf, NetOutcome, NetReject, ServerMsg, WireConfig};
 use create_env::TaskId;
-use create_serve::{request_seed, ServeFailure};
+use create_serve::{backoff_delay, ServeFailure};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 /// Salt decorrelating client backoff jitter from every other consumer of
-/// [`request_seed`].
+/// [`create_serve::request_seed`].
 const BACKOFF_SALT: u64 = 0xBACC_0FF5_EEDF_00D5;
 
 /// How a logical request resolved. All three arms are *resolutions* —
@@ -174,7 +174,7 @@ impl NetClient {
                 std::thread::sleep(backoff_delay(
                     self.config.backoff,
                     attempts,
-                    self.config.seed ^ client_id,
+                    self.config.seed ^ client_id ^ BACKOFF_SALT,
                 ));
             }
             attempts += 1;
@@ -338,33 +338,5 @@ fn read_reply(conn: &mut Conn) -> Result<ServerMsg, String> {
             Ok(n) => conn.decoder.extend(&chunk[..n]),
             Err(e) => return Err(format!("read failed: {e}")),
         }
-    }
-}
-
-/// The engine's retry curve, client-side: `base · 2^(attempt-1)`,
-/// jittered deterministically into `[0.5, 1.5)`, capped at one second.
-fn backoff_delay(base: Duration, attempt: u32, seed: u64) -> Duration {
-    let exp = base.as_secs_f64() * f64::from(1u32 << (attempt - 1).min(10));
-    let z = request_seed(seed ^ BACKOFF_SALT, u64::from(attempt));
-    let jitter = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64;
-    Duration::from_secs_f64((exp * jitter).min(1.0))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_jittered_and_capped() {
-        let base = Duration::from_millis(10);
-        for attempt in 1..6u32 {
-            let a = backoff_delay(base, attempt, 7);
-            assert_eq!(a, backoff_delay(base, attempt, 7));
-            let exp = base.as_secs_f64() * f64::from(1u32 << (attempt - 1));
-            assert!(a.as_secs_f64() >= exp * 0.5 - 1e-9);
-            assert!(a.as_secs_f64() < (exp * 1.5).min(1.0) + 1e-9);
-        }
-        assert_ne!(backoff_delay(base, 3, 7), backoff_delay(base, 3, 8));
-        assert!(backoff_delay(Duration::from_secs(5), 9, 1) <= Duration::from_secs(1));
     }
 }

@@ -92,6 +92,7 @@ use create_core::config::CreateConfig;
 use create_core::mission::{Deployment, MissionOutcome, MissionSession};
 use create_env::TaskId;
 use create_tensor::par::{BoundedQueue, PushError};
+use create_tensor::seed::{mix64, unit_f64};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -275,11 +276,7 @@ impl std::error::Error for Rejected {
 /// [`create_core::run_trial_with`] offline at that seed reproduces the
 /// served [`MissionOutcome`] bit for bit.
 pub fn request_seed(base_seed: u64, request_id: u64) -> u64 {
-    let mut z =
-        base_seed.wrapping_add((request_id.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(base_seed.wrapping_add((request_id.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// The seed of retry attempt `attempt` (0 = the first run) for a request
@@ -311,17 +308,21 @@ fn chaos_fires(probability: f64, seed: u64) -> bool {
     if probability >= 1.0 {
         return true;
     }
-    let z = request_seed(seed ^ CHAOS_SALT, 0);
-    ((z >> 11) as f64 / (1u64 << 53) as f64) < probability
+    unit_f64(request_seed(seed ^ CHAOS_SALT, 0)) < probability
 }
 
+/// Salt decorrelating the engine's retry backoff jitter from its chaos
+/// draws.
+const RETRY_SALT: u64 = CHAOS_SALT.rotate_left(17);
+
 /// Jittered exponential backoff before retry attempt `attempt` (≥ 1):
-/// `base · 2^(attempt-1)`, scaled by a seed-deterministic jitter in
-/// `[0.5, 1.5)`, capped at one second.
-fn backoff_delay(base: Duration, attempt: u32, first_seed: u64) -> Duration {
+/// `base · 2^(attempt-1)`, scaled by a jitter in `[0.5, 1.5)` drawn from
+/// `(seed, attempt)`, capped at one second. The engine's retries and
+/// `create-net`'s client share this curve, each salting `seed` with its
+/// own constant.
+pub fn backoff_delay(base: Duration, attempt: u32, seed: u64) -> Duration {
     let exp = base.as_secs_f64() * f64::from(1u32 << (attempt - 1).min(10));
-    let z = request_seed(first_seed ^ CHAOS_SALT.rotate_left(17), u64::from(attempt));
-    let jitter = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64;
+    let jitter = 0.5 + unit_f64(request_seed(seed, u64::from(attempt)));
     Duration::from_secs_f64((exp * jitter).min(1.0))
 }
 
@@ -855,7 +856,7 @@ impl MissionEngine {
                 std::thread::sleep(backoff_delay(
                     job.request.policy.backoff,
                     attempt,
-                    job.first_seed,
+                    job.first_seed ^ RETRY_SALT,
                 ));
             };
             let service_ns = saturating_elapsed_ns(started);
@@ -1039,6 +1040,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn seeds_and_draws_match_known_answers() {
+        assert_eq!(request_seed(0, 0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(request_seed(0x5E12E, 1), 0x8177_51D0_9336_0901);
+        assert_eq!(request_seed(0x4E37, 12345), 0xD819_20BD_A71D_FA82);
+        assert_eq!(request_seed(u64::MAX, u64::MAX), 0xB4D0_55FC_F2CB_BD7B);
+        assert_eq!(retry_seed(0x1234, 1), 0x5A4D_7853_3D03_4CB5);
+        assert_eq!(retry_seed(0x1234, 3), 0xAD00_2EDB_4259_D53A);
+        assert_eq!([1, 2, 3].map(|s| chaos_fires(0.5, s)), [true, false, true]);
+        let base = Duration::from_millis(10);
+        let retry = |attempt| backoff_delay(base, attempt, 77 ^ RETRY_SALT);
+        assert_eq!(retry(1), Duration::from_nanos(5_795_700));
+        assert_eq!(retry(2), Duration::from_nanos(29_312_897));
+        assert_eq!(retry(3), Duration::from_nanos(44_846_847));
+    }
+
+    #[test]
     fn request_seeds_are_deterministic_and_decorrelated() {
         assert_eq!(request_seed(7, 0), request_seed(7, 0));
         assert_ne!(request_seed(7, 0), request_seed(7, 1));
@@ -1078,9 +1095,14 @@ mod tests {
     #[test]
     fn backoff_grows_is_jittered_and_caps_at_a_second() {
         let base = Duration::from_millis(10);
+        for attempt in 1..6u32 {
+            let d = backoff_delay(base, attempt, 7);
+            let exp = base.as_secs_f64() * f64::from(1u32 << (attempt - 1));
+            assert!(d.as_secs_f64() >= exp * 0.5 - 1e-9, "{d:?}");
+            assert!(d.as_secs_f64() < (exp * 1.5).min(1.0) + 1e-9, "{d:?}");
+        }
         let d1 = backoff_delay(base, 1, 7);
         let d2 = backoff_delay(base, 2, 7);
-        assert!(d1 >= base / 2 && d1 < base * 3 / 2, "{d1:?}");
         assert!(d2 > d1, "exponential growth: {d1:?} -> {d2:?}");
         assert_eq!(d1, backoff_delay(base, 1, 7), "deterministic");
         assert_ne!(

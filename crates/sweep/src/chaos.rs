@@ -16,6 +16,8 @@
 //! deterministic given the journal state. `p = 1` still kills every
 //! attempt — "always fires" is part of the contract.
 
+use create_tensor::seed::{mix64, unit_f64};
+
 /// Salt decorrelating sweep chaos draws from the serving engine's (which
 /// uses its own salt) and from the trial RNG streams.
 const SWEEP_CHAOS_SALT: u64 = 0x5EE9_FAB1_C0DE_CAFE;
@@ -58,16 +60,12 @@ impl ChaosMode {
     }
 }
 
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The raw chaos draw for one chunk attempt: a pure function of the
 /// chunk's identity and the shard's recovery generation.
 pub fn chaos_draw(chunk_seed: u64, generation: u32) -> u64 {
-    mix(chunk_seed ^ SWEEP_CHAOS_SALT ^ (u64::from(generation)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    mix64(
+        chunk_seed ^ SWEEP_CHAOS_SALT ^ (u64::from(generation)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    )
 }
 
 /// Whether chaos fires on this attempt, and where, given `draw` from
@@ -78,7 +76,7 @@ pub fn plan_kill(probability: f64, draw: u64) -> Option<KillSite> {
     if probability <= 0.0 {
         return None;
     }
-    let fires = probability >= 1.0 || ((draw >> 11) as f64 / (1u64 << 53) as f64) < probability;
+    let fires = probability >= 1.0 || unit_f64(draw) < probability;
     if !fires {
         return None;
     }

@@ -1,9 +1,8 @@
 //! Crash-safe file replacement: write-temp, fsync, atomic rename.
 //!
 //! Every on-disk cache and results artifact in the workspace (the
-//! autotune dispatch tables, the trained testutil bundles, the
-//! schema-versioned results store, the sweep fabric's sealed journal
-//! segments) is replaced through this one primitive, so a process killed
+//! trained testutil bundles, the schema-versioned results store, the
+//! sweep fabric's sealed journal segments) is replaced through this one primitive, so a process killed
 //! mid-write can never leave a half-written file behind for the
 //! warn-and-fallback readers to chew on: a reader observes either the
 //! old complete file, the new complete file, or no file at all.

@@ -83,7 +83,7 @@ pub fn read_nonneg_usize(name: &str, default: usize) -> usize {
 
 /// Parses an on/off switch (`1`/`true` on, `0`/`false` off,
 /// case-insensitive) with the shared warn-and-fallback contract — the
-/// `CREATE_GEMM_AUTOTUNE` shape.
+/// `CREATE_SERVE_GOVERNOR` / `CREATE_TESTUTIL_CACHE` shape.
 pub fn flag(name: &str, raw: Option<&str>, default: bool) -> bool {
     parse_validated(name, raw, default, |s| {
         match s.trim().to_ascii_lowercase().as_str() {

@@ -17,13 +17,10 @@
 //!   `[f32; F32_LANES]` register block, also **bit-identical** (each lane
 //!   owns one output and accumulates in the reference's k-order);
 //! * [`DispatchF32Backend`] (`auto`, the default) — not a kernel but a
-//!   router: each call is bucketed by size class
-//!   ([`crate::dispatch`]) and forwarded to the measured-fastest
-//!   concrete backend for that `(op, m, k, n)` bucket. The committed
-//!   bench baselines show `wide` winning every `matmul_nt`, `scalar`
-//!   winning the one-hot featurizer's sparse products, and `blocked`
-//!   the rest — `auto` takes each bucket's winner. Since every concrete
-//!   backend is bit-identical, routing cannot change results.
+//!   router: a compiled-in rule per op on the call's `(m, k, n)` forwards
+//!   it to the concrete backend the committed bench baselines show
+//!   fastest there. Since every concrete backend is bit-identical,
+//!   routing cannot change results.
 //!
 //! # Why the parity guarantee holds for floats
 //!
@@ -65,26 +62,19 @@
 //!
 //! `Matrix`'s multiply entry points read the process-wide backend from
 //! the `CREATE_F32_BACKEND` environment variable (`scalar`, `blocked`,
-//! `wide`, `auto` or `auto:<table.json>`, case-insensitive) once, on
-//! first use. Unset or empty selects
-//! [the default](FloatBackendKind::default) (`auto`); any other value
-//! warns on stderr and falls back to the default — the same validated
-//! fallback contract as `CREATE_GEMM_BACKEND` / `CREATE_REPS`
-//! (see [`crate::envcfg`]). With `CREATE_GEMM_AUTOTUNE=1` the `auto`
-//! backend measures the concrete candidates on the actual host at first
-//! use and caches the winning table under `target/create-autotune/`; a
-//! malformed cache or table file warns and falls back to the
-//! compiled-in static table, never aborting the run.
+//! `wide` or `auto`, case-insensitive) once, on first use. Unset or empty
+//! selects [the default](FloatBackendKind::default) (`auto`); any other
+//! value warns on stderr and falls back to the default — the same
+//! validated fallback contract as `CREATE_GEMM_BACKEND` / `CREATE_REPS`
+//! (see [`crate::envcfg`]).
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 //! [`Matrix::matmul_nt`]: crate::Matrix::matmul_nt
 //! [`Matrix::matmul_tn`]: crate::Matrix::matmul_tn
 
-use crate::dispatch;
 use crate::envcfg;
 use crate::matrix::Matrix;
 use std::fmt;
-use std::path::Path;
 use std::str::FromStr;
 
 /// An `f32` GEMM implementation for the training datapath.
@@ -566,239 +556,43 @@ impl FloatGemmBackend for WideF32Backend {
 
 /// The `auto` backend: a per-shape router over the concrete backends.
 ///
-/// Holds one flat [`dispatch::N_BUCKETS`]-entry lookup table per op
-/// (`matmul`, `matmul_nt`, `matmul_tn`), indexed by the size-class
-/// bucket of the canonical `(m, k, n)` — output rows, reduction length,
-/// output columns. Dispatch is three integer compares plus an array
-/// index; no allocation, no string work, so the steady-state
-/// allocation-free training contract is untouched.
+/// Each op picks its kernel with a few integer compares on the canonical
+/// `(m, k, n)` — output rows, reduction length, output columns — per the
+/// per-shape winners in the committed `results/baseline/BENCH_train.json`:
 ///
-/// Every cell is a *concrete* kind (validated at construction — `auto`
-/// inside a table is rejected), and every concrete backend is
+/// * `matmul_nt`: always `wide`;
+/// * `matmul`: `scalar` for the one-hot featurizer's sparse products
+///   (`m ≤ 2`, `k > 128`), else `blocked`;
+/// * `matmul_tn` (shape `(a.cols, a.rows, b.cols)`): `scalar` for the
+///   mid-width weight gradients (`m > 8`, `8 < k ≤ 128`, `16 < n ≤ 48`),
+///   else `blocked`.
+///
+/// No allocation and no state, so the steady-state allocation-free
+/// training contract is untouched, and every concrete backend is
 /// bit-identical to the reference, so routing can change speed but never
 /// a single output bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchF32Backend {
-    nn: [FloatBackendKind; dispatch::N_BUCKETS],
-    nt: [FloatBackendKind; dispatch::N_BUCKETS],
-    tn: [FloatBackendKind; dispatch::N_BUCKETS],
-}
-
-/// File name of the f32 autotune cache under the autotune directory.
-pub const F32_AUTOTUNE_FILE: &str = "f32.json";
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchF32Backend;
 
 impl DispatchF32Backend {
-    /// The compiled-in static dispatch table, derived from the committed
-    /// `results/baseline/BENCH_train.json`: `wide` wins every
-    /// `matmul_nt` shape; `scalar` wins the one-hot featurizer's sparse
-    /// `matmul` (single row, huge k, mostly zeros) and the mid-width
-    /// `matmul_tn` weight gradients; `blocked` keeps the rest. To
-    /// regenerate after re-benching, compare per-shape winners in
-    /// `BENCH_train.json` (see README § Performance).
-    pub fn built_in_table() -> dispatch::RawTable {
-        let rule = |op: &str,
-                    m: Option<dispatch::Band>,
-                    k: Option<dispatch::Band>,
-                    n: Option<dispatch::Band>,
-                    backend: &str| dispatch::RawRule {
-            op: op.to_string(),
-            m,
-            k,
-            n,
-            backend: backend.to_string(),
-        };
-        use dispatch::Band::{Hi, Lo, Mid};
-        dispatch::RawTable {
-            version: dispatch::TABLE_VERSION,
-            rules: vec![
-                rule("matmul_nt", None, None, None, "wide"),
-                rule("matmul", Some(Lo), Some(Hi), None, "scalar"),
-                rule("matmul", None, None, None, "blocked"),
-                rule("matmul_tn", Some(Hi), Some(Mid), Some(Mid), "scalar"),
-                rule("matmul_tn", None, None, None, "blocked"),
-            ],
+    fn select_nn(a: &Matrix, _b: &Matrix) -> &'static dyn FloatGemmBackend {
+        if a.rows() <= 2 && a.cols() > 128 {
+            &ScalarF32Backend
+        } else {
+            &BlockedF32Backend
         }
     }
 
-    /// The router resolved from the compiled-in static table.
-    pub fn built_in() -> Self {
-        Self::from_table(&Self::built_in_table()).expect("static table must resolve")
+    fn select_nt(_a: &Matrix, _b: &Matrix) -> &'static dyn FloatGemmBackend {
+        &WideF32Backend
     }
 
-    /// Resolves a raw dispatch table, overlaying it on the static table
-    /// (buckets the table does not cover keep the committed defaults).
-    ///
-    /// Fails — so callers can fall back to [`built_in`](Self::built_in) —
-    /// if the table's version is unsupported or any rule names an
-    /// unknown backend or nests `auto`.
-    pub fn from_table(table: &dispatch::RawTable) -> Result<Self, String> {
-        let parse = |s: &str| match FloatBackendKind::from_str(s) {
-            Ok(FloatBackendKind::Auto) | Err(_) => None,
-            Ok(kind) => Some(kind),
-        };
-        // The static table itself resolves against an all-blocked base;
-        // it covers every bucket of every op via its catch-all rules.
-        let base = [FloatBackendKind::Blocked; dispatch::N_BUCKETS];
-        let static_table = Self::built_in_table();
-        let overlay = |op: &str| -> Result<[FloatBackendKind; dispatch::N_BUCKETS], String> {
-            let built_in = static_table.resolve(op, base, parse)?;
-            table.resolve(op, built_in, parse)
-        };
-        Ok(DispatchF32Backend {
-            nn: overlay("matmul")?,
-            nt: overlay("matmul_nt")?,
-            tn: overlay("matmul_tn")?,
-        })
-    }
-
-    /// Full resolution policy for the `auto` backend, with every failure
-    /// mode falling back (with a stderr warning) to the static table:
-    ///
-    /// 1. an explicit table path (`CREATE_F32_BACKEND=auto:<path>`) is
-    ///    loaded and used, static on parse/resolve failure;
-    /// 2. else with autotune requested (`CREATE_GEMM_AUTOTUNE=1`): a
-    ///    readable cache at `cache` is used; a *corrupt* cache warns and
-    ///    falls back to static (never aborts); a missing cache triggers
-    ///    the one-shot measurement, whose table is written back to
-    ///    `cache` for later processes;
-    /// 3. else the compiled-in static table.
-    ///
-    /// Exposed with explicit arguments so tests can exercise every path
-    /// without racing on the process environment.
-    pub fn resolve(explicit_table: Option<&Path>, autotune: bool, cache: &Path) -> Self {
-        if let Some(path) = explicit_table {
-            return match dispatch::load_table(path).and_then(|t| Self::from_table(&t)) {
-                Ok(backend) => backend,
-                Err(err) => {
-                    eprintln!(
-                        "[create] ignoring f32 dispatch table {}: {err}; using built-in table",
-                        path.display()
-                    );
-                    Self::built_in()
-                }
-            };
-        }
-        if autotune {
-            if cache.exists() {
-                return match dispatch::load_table(cache).and_then(|t| Self::from_table(&t)) {
-                    Ok(backend) => backend,
-                    Err(err) => {
-                        eprintln!(
-                            "[create] ignoring corrupt f32 autotune cache {}: {err}; \
-                             using built-in table",
-                            cache.display()
-                        );
-                        Self::built_in()
-                    }
-                };
-            }
-            let table = Self::autotune();
-            if let Err(err) = dispatch::store_table(cache, &table) {
-                eprintln!(
-                    "[create] cannot cache f32 autotune table at {}: {err}",
-                    cache.display()
-                );
-            }
-            return match Self::from_table(&table) {
-                Ok(backend) => backend,
-                Err(err) => {
-                    eprintln!("[create] f32 autotune produced an unusable table: {err}");
-                    Self::built_in()
-                }
-            };
-        }
-        Self::built_in()
-    }
-
-    /// One-shot autotune: times every concrete backend on the
-    /// representative training shapes (the `train` bench's shape set)
-    /// and emits per-bucket winners. Buckets no probe shape covers are
-    /// left to the static table by the [`from_table`](Self::from_table)
-    /// overlay.
-    pub fn autotune() -> dispatch::RawTable {
-        // (m, k, n) probe shapes: transformer block/MLP/head products at
-        // the planner sequence length, the controller's token GEMMs, and
-        // the sparse one-hot view featurizer.
-        const SHAPES: [(usize, usize, usize); 5] = [
-            (28, 32, 32),
-            (28, 32, 64),
-            (28, 64, 32),
-            (4, 32, 32),
-            (1, 686, 32),
-        ];
-        let candidates = [
-            FloatBackendKind::Scalar,
-            FloatBackendKind::Blocked,
-            FloatBackendKind::Wide,
-        ];
-        let mut samples: Vec<(&str, usize, &str, f64)> = Vec::new();
-        let mut out = Matrix::default();
-        for &(m, k, n) in &SHAPES {
-            // The one-hot probe keeps the featurizer's ~93% zero density
-            // so the zero-skip paths are measured realistically.
-            let density = if k > 512 { 0.07 } else { 1.0 };
-            let a = probe_matrix(m, k, 1, density);
-            let b = probe_matrix(k, n, 2, 1.0);
-            let bt = probe_matrix(n, k, 3, 1.0);
-            let c = probe_matrix(m, n, 4, 1.0);
-            for kind in candidates {
-                let backend = kind.backend();
-                samples.push((
-                    "matmul",
-                    dispatch::bucket(a.rows(), a.cols(), b.cols()),
-                    kind.name(),
-                    dispatch::measure_ns(|| backend.matmul_into(&a, &b, &mut out)),
-                ));
-                samples.push((
-                    "matmul_nt",
-                    dispatch::bucket(a.rows(), a.cols(), bt.rows()),
-                    kind.name(),
-                    dispatch::measure_ns(|| backend.matmul_nt_into(&a, &bt, &mut out)),
-                ));
-                samples.push((
-                    "matmul_tn",
-                    dispatch::bucket(a.cols(), a.rows(), c.cols()),
-                    kind.name(),
-                    dispatch::measure_ns(|| backend.matmul_tn_into(&a, &c, &mut out)),
-                ));
-            }
-        }
-        dispatch::table_from_measurements(&samples)
-    }
-
-    /// The process-wide `auto` router, resolved once from the
-    /// environment (`CREATE_F32_BACKEND=auto:<path>` /
-    /// `CREATE_GEMM_AUTOTUNE`).
-    fn from_env() -> &'static DispatchF32Backend {
-        static AUTO: std::sync::OnceLock<DispatchF32Backend> = std::sync::OnceLock::new();
-        AUTO.get_or_init(|| {
-            let raw = std::env::var("CREATE_F32_BACKEND").ok();
-            let explicit = raw
-                .as_deref()
-                .and_then(|s| s.trim().strip_prefix("auto:"))
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(Path::new);
-            Self::resolve(
-                explicit,
-                dispatch::autotune_requested(),
-                &dispatch::autotune_cache_path(F32_AUTOTUNE_FILE),
-            )
-        })
-    }
-
-    fn pick(
-        &self,
-        lut: &[FloatBackendKind; dispatch::N_BUCKETS],
-        idx: usize,
-    ) -> &'static dyn FloatGemmBackend {
-        match lut[idx] {
-            FloatBackendKind::Scalar => &ScalarF32Backend,
-            FloatBackendKind::Blocked => &BlockedF32Backend,
-            FloatBackendKind::Wide => &WideF32Backend,
-            // Unreachable by construction (from_table rejects nesting);
-            // route to the default concrete backend rather than recurse.
-            FloatBackendKind::Auto => &BlockedF32Backend,
+    fn select_tn(a: &Matrix, b: &Matrix) -> &'static dyn FloatGemmBackend {
+        let (m, k, n) = (a.cols(), a.rows(), b.cols());
+        if m > 8 && (9..=128).contains(&k) && (17..=48).contains(&n) {
+            &ScalarF32Backend
+        } else {
+            &BlockedF32Backend
         }
     }
 }
@@ -809,36 +603,16 @@ impl FloatGemmBackend for DispatchF32Backend {
     }
 
     fn matmul_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        self.pick(&self.nn, dispatch::bucket(a.rows(), a.cols(), b.cols()))
-            .matmul_into(a, b, out)
+        Self::select_nn(a, b).matmul_into(a, b, out)
     }
 
     fn matmul_nt_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        self.pick(&self.nt, dispatch::bucket(a.rows(), a.cols(), b.rows()))
-            .matmul_nt_into(a, b, out)
+        Self::select_nt(a, b).matmul_nt_into(a, b, out)
     }
 
     fn matmul_tn_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        self.pick(&self.tn, dispatch::bucket(a.cols(), a.rows(), b.cols()))
-            .matmul_tn_into(a, b, out)
+        Self::select_tn(a, b).matmul_tn_into(a, b, out)
     }
-}
-
-/// Deterministic autotune probe data: an LCG fill (no RNG dependency,
-/// identical across runs) with `density` fraction non-zero.
-fn probe_matrix(rows: usize, cols: usize, seed: u64, density: f64) -> Matrix {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    Matrix::from_fn(rows, cols, |_, _| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-        if u >= density {
-            0.0
-        } else {
-            (u / density.max(f64::MIN_POSITIVE) * 4.0 - 2.0) as f32
-        }
-    })
 }
 
 /// Which [`FloatGemmBackend`] the process multiplies with.
@@ -874,19 +648,15 @@ impl FromStr for FloatBackendKind {
     type Err = String;
 
     /// Case-insensitive, whitespace-tolerant parse of a backend name.
-    /// `auto:<table.json>` selects `Auto` with an explicit dispatch
-    /// table (the path is read back from the raw environment value by
-    /// the router, preserving its case).
     fn from_str(s: &str) -> Result<Self, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(FloatBackendKind::Scalar),
             "blocked" => Ok(FloatBackendKind::Blocked),
             "wide" => Ok(FloatBackendKind::Wide),
             "auto" => Ok(FloatBackendKind::Auto),
-            other if other.starts_with("auto:") => Ok(FloatBackendKind::Auto),
             other => Err(format!(
-                "unknown f32 backend {other:?}: expected \"scalar\", \"blocked\", \"wide\", \
-                 \"auto\" or \"auto:<table.json>\""
+                "unknown f32 backend {other:?}: expected \"scalar\", \"blocked\", \"wide\" \
+                 or \"auto\""
             )),
         }
     }
@@ -912,15 +682,14 @@ impl FloatBackendKind {
         }
     }
 
-    /// The selected implementation (the concrete kernels are zero-sized
-    /// and the `auto` router is resolved once into a process-wide
-    /// static, so a static borrow suffices — no boxing).
+    /// The selected implementation (every backend is zero-sized, so a
+    /// static borrow suffices — no boxing).
     pub fn backend(self) -> &'static dyn FloatGemmBackend {
         match self {
             FloatBackendKind::Scalar => &ScalarF32Backend,
             FloatBackendKind::Blocked => &BlockedF32Backend,
             FloatBackendKind::Wide => &WideF32Backend,
-            FloatBackendKind::Auto => DispatchF32Backend::from_env(),
+            FloatBackendKind::Auto => &DispatchF32Backend,
         }
     }
 
@@ -966,14 +735,14 @@ mod tests {
         })
     }
 
-    /// Every non-reference backend (including the static-table `auto`
-    /// router), asserted bit-equal to the scalar reference on the same
+    /// Every non-reference backend (including the `auto` router),
+    /// asserted bit-equal to the scalar reference on the same
     /// inputs.
     fn fast_backends() -> Vec<Box<dyn FloatGemmBackend>> {
         vec![
             Box::new(BlockedF32Backend),
             Box::new(WideF32Backend),
-            Box::new(DispatchF32Backend::built_in()),
+            Box::new(DispatchF32Backend),
         ]
     }
 
@@ -1082,11 +851,6 @@ mod tests {
         assert_eq!(" BLOCKED\n".parse(), Ok(FloatBackendKind::Blocked));
         assert_eq!("Wide".parse(), Ok(FloatBackendKind::Wide));
         assert_eq!("auto".parse(), Ok(FloatBackendKind::Auto));
-        assert_eq!(
-            "Auto:/some/table.json".parse(),
-            Ok(FloatBackendKind::Auto),
-            "auto with an explicit table path still selects Auto"
-        );
         assert!("simd".parse::<FloatBackendKind>().is_err());
         for kind in FloatBackendKind::ALL {
             assert_eq!(kind.name().parse(), Ok(kind));
@@ -1095,154 +859,158 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dispatch_static_table_routes_by_size_class() {
-        let auto = DispatchF32Backend::built_in();
-        // nt → wide everywhere; sparse one-hot nn → scalar; the
-        // mid-width tn weight gradient → scalar; everything else blocked.
-        assert_eq!(
-            auto.nt[dispatch::bucket(28, 32, 32)],
-            FloatBackendKind::Wide
-        );
-        assert_eq!(
-            auto.nt[dispatch::bucket(1, 686, 32)],
-            FloatBackendKind::Wide
-        );
-        assert_eq!(
-            auto.nn[dispatch::bucket(1, 686, 32)],
-            FloatBackendKind::Scalar
-        );
-        assert_eq!(
-            auto.nn[dispatch::bucket(28, 32, 32)],
-            FloatBackendKind::Blocked
-        );
-        assert_eq!(
-            auto.tn[dispatch::bucket(32, 28, 32)],
-            FloatBackendKind::Scalar
-        );
-        assert_eq!(
-            auto.tn[dispatch::bucket(32, 28, 64)],
-            FloatBackendKind::Blocked
-        );
-        assert_eq!(
-            auto.tn[dispatch::bucket(32, 4, 32)],
-            FloatBackendKind::Blocked
-        );
-    }
+    /// Output columns `n` of every routing-table row, one per boundary of
+    /// the routing rules.
+    const ROUTE_N: [usize; 6] = [1, 16, 17, 48, 49, 256];
+
+    /// The kernel `auto` runs for each boundary shape, as `((m, k), [name
+    /// for each n in ROUTE_N])` with `(m, k, n)` the canonical output
+    /// rows, reduction length and output columns. Written out literally,
+    /// not derived from the rules, so a rule edit that moves any GEMM to
+    /// another kernel fails here.
+    type Routes = [((usize, usize), [&'static str; 6]); 36];
+
+    /// `matmul`: `a` is m×k, `b` is k×n.
+    #[rustfmt::skip]
+    const ROUTES_NN: Routes = [
+        ((1, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 129), ["scalar", "scalar", "scalar", "scalar", "scalar", "scalar"]),
+        ((1, 686), ["scalar", "scalar", "scalar", "scalar", "scalar", "scalar"]),
+        ((2, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 129), ["scalar", "scalar", "scalar", "scalar", "scalar", "scalar"]),
+        ((2, 686), ["scalar", "scalar", "scalar", "scalar", "scalar", "scalar"]),
+        ((3, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+    ];
+
+    /// `matmul_nt`: `a` is m×k, `b` is n×k.
+    #[rustfmt::skip]
+    const ROUTES_NT: Routes = [
+        ((1, 1), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((1, 8), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((1, 9), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((1, 128), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((1, 129), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((1, 686), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((2, 1), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((2, 8), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((2, 9), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((2, 128), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((2, 129), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((2, 686), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((3, 1), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((3, 8), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((3, 9), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((3, 128), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((3, 129), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((3, 686), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((8, 1), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((8, 8), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((8, 9), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((8, 128), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((8, 129), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((8, 686), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((9, 1), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((9, 8), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((9, 9), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((9, 128), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((9, 129), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((9, 686), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((64, 1), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((64, 8), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((64, 9), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((64, 128), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((64, 129), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+        ((64, 686), ["wide", "wide", "wide", "wide", "wide", "wide"]),
+    ];
+
+    /// `matmul_tn`: `a` is k×m, `b` is k×n.
+    #[rustfmt::skip]
+    const ROUTES_TN: Routes = [
+        ((1, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((1, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((2, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((3, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 9), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 128), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((8, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 9), ["blocked", "blocked", "scalar", "scalar", "blocked", "blocked"]),
+        ((9, 128), ["blocked", "blocked", "scalar", "scalar", "blocked", "blocked"]),
+        ((9, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((9, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 1), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 8), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 9), ["blocked", "blocked", "scalar", "scalar", "blocked", "blocked"]),
+        ((64, 128), ["blocked", "blocked", "scalar", "scalar", "blocked", "blocked"]),
+        ((64, 129), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+        ((64, 686), ["blocked", "blocked", "blocked", "blocked", "blocked", "blocked"]),
+    ];
 
     #[test]
-    fn dispatch_rejects_auto_nesting_but_overlays_partial_tables() {
-        let mut table = DispatchF32Backend::built_in_table();
-        table.rules[0].backend = "auto".to_string();
-        assert!(DispatchF32Backend::from_table(&table).is_err());
-        // A partial table only overrides what it names.
-        let partial = dispatch::RawTable {
-            version: dispatch::TABLE_VERSION,
-            rules: vec![dispatch::RawRule {
-                op: "matmul_nt".to_string(),
-                m: None,
-                k: None,
-                n: None,
-                backend: "scalar".to_string(),
-            }],
-        };
-        let auto = DispatchF32Backend::from_table(&partial).expect("resolves");
-        assert_eq!(
-            auto.nt[dispatch::bucket(28, 32, 32)],
-            FloatBackendKind::Scalar
-        );
-        assert_eq!(
-            auto.nn[dispatch::bucket(1, 686, 32)],
-            FloatBackendKind::Scalar,
-            "uncovered ops keep the static table"
-        );
-    }
-
-    #[test]
-    fn dispatch_resolve_falls_back_on_missing_and_corrupt_tables() {
-        let dir = std::env::temp_dir().join(format!("create-f32-dispatch-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let corrupt = dir.join("corrupt.json");
-        std::fs::write(&corrupt, "{\"version\": 1, \"rules\": [{\"op\": tru").expect("write");
-        let cache = dir.join("unused-cache.json");
-        // Explicit-but-corrupt table → static, never a panic.
-        assert_eq!(
-            DispatchF32Backend::resolve(Some(&corrupt), false, &cache),
-            DispatchF32Backend::built_in()
-        );
-        // Missing explicit table → static.
-        assert_eq!(
-            DispatchF32Backend::resolve(Some(&dir.join("missing.json")), false, &cache),
-            DispatchF32Backend::built_in()
-        );
-        // Autotune with a corrupt *cache* → static (never aborts).
-        assert_eq!(
-            DispatchF32Backend::resolve(None, true, &corrupt),
-            DispatchF32Backend::built_in()
-        );
-        assert!(corrupt.exists(), "fallback must not delete the evidence");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn autotune_measures_writes_cache_and_reloads_identically() {
-        let dir = std::env::temp_dir().join(format!("create-f32-autotune-{}", std::process::id()));
-        let cache = dir.join("f32.json");
-        let first = DispatchF32Backend::resolve(None, true, &cache);
-        assert!(cache.exists(), "one-shot autotune must persist its table");
-        let reloaded = DispatchF32Backend::resolve(None, true, &cache);
-        assert_eq!(first, reloaded, "cache reload must reproduce the router");
-        // The cached table is valid JSON in the documented schema.
-        let table = dispatch::load_table(&cache).expect("cache parses");
-        assert_eq!(table.version, dispatch::TABLE_VERSION);
-        assert!(!table.rules.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dispatch_agrees_bitwise_with_scalar_under_any_table() {
-        // Route-flipping cannot change bits: run the same inputs under
-        // the static router and an adversarial all-scalar/all-wide mix.
-        let mut rng = StdRng::seed_from_u64(23);
-        let weird = dispatch::RawTable {
-            version: dispatch::TABLE_VERSION,
-            rules: vec![
-                dispatch::RawRule {
-                    op: "matmul".to_string(),
-                    m: None,
-                    k: None,
-                    n: Some(dispatch::Band::Lo),
-                    backend: "wide".to_string(),
-                },
-                dispatch::RawRule {
-                    op: "matmul_tn".to_string(),
-                    m: None,
-                    k: None,
-                    n: None,
-                    backend: "scalar".to_string(),
-                },
-            ],
-        };
-        let routers = [
-            DispatchF32Backend::built_in(),
-            DispatchF32Backend::from_table(&weird).expect("resolves"),
+    fn dispatch_routes_every_boundary_shape_to_its_pinned_kernel() {
+        type Select = fn(&Matrix, &Matrix) -> &'static dyn FloatGemmBackend;
+        let ops: [(&str, &Routes, Select); 3] = [
+            ("matmul", &ROUTES_NN, DispatchF32Backend::select_nn),
+            ("matmul_nt", &ROUTES_NT, DispatchF32Backend::select_nt),
+            ("matmul_tn", &ROUTES_TN, DispatchF32Backend::select_tn),
         ];
-        let mut s = Matrix::default();
-        let mut f = Matrix::default();
-        for _ in 0..10 {
-            let m = rng.random_range(1usize..7);
-            let k = rng.random_range(1usize..40);
-            let n = rng.random_range(1usize..200);
-            let a = random_with_zeros(m, k, &mut rng);
-            let b = random_with_zeros(k, n, &mut rng);
-            let c = random_with_zeros(m, n, &mut rng);
-            for auto in &routers {
-                ScalarF32Backend.matmul_into(&a, &b, &mut s);
-                auto.matmul_into(&a, &b, &mut f);
-                assert_eq!(s, f, "nn {m}x{k}x{n}");
-                ScalarF32Backend.matmul_tn_into(&a, &c, &mut s);
-                auto.matmul_tn_into(&a, &c, &mut f);
-                assert_eq!(s, f, "tn {m}x{k}x{n}");
+        for (op, routes, select) in ops {
+            for &((m, k), names) in routes {
+                for (n, want) in ROUTE_N.into_iter().zip(names) {
+                    let (a, b) = match op {
+                        "matmul" => (Matrix::zeros(m, k), Matrix::zeros(k, n)),
+                        "matmul_nt" => (Matrix::zeros(m, k), Matrix::zeros(n, k)),
+                        _ => (Matrix::zeros(k, m), Matrix::zeros(k, n)),
+                    };
+                    assert_eq!(select(&a, &b).name(), want, "{op} {m}x{k}x{n}");
+                }
             }
         }
     }
@@ -1259,6 +1027,10 @@ mod tests {
         );
         assert_eq!(
             FloatBackendKind::parse_env(Some("definitely-not-a-backend")),
+            FloatBackendKind::default()
+        );
+        assert_eq!(
+            FloatBackendKind::parse_env(Some("auto:/x.json")),
             FloatBackendKind::default()
         );
         assert_eq!(

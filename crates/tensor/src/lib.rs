@@ -7,12 +7,9 @@
 //!   the planner/controller stacks need (GEMM, transpose, map/zip, slicing).
 //! * [`fgemm`] — pluggable `f32` GEMM backends behind the `Matrix`
 //!   multiply entry points (`CREATE_F32_BACKEND=scalar|blocked|wide|auto`,
-//!   bit-identical by contract); the training-stack twin of
-//!   `create-accel`'s INT8 `GemmBackend`.
-//! * [`dispatch`] — the shape-bucketed dispatch tables behind both
-//!   traits' `auto` backends: size-class buckets, the JSON table format
-//!   (static, autotuned-and-cached under `target/`, or user-supplied via
-//!   `auto:<table.json>`), and the one-shot autotune helpers.
+//!   bit-identical by contract, `auto` picking a kernel per op with a
+//!   compiled-in shape rule); the training-stack twin of `create-accel`'s
+//!   INT8 `GemmBackend`.
 //! * [`envcfg`] — the shared validated environment-variable helper every
 //!   `CREATE_*` knob parses through (silent default when unset/blank,
 //!   warn-and-fallback on garbage).
@@ -25,6 +22,8 @@
 //!   `create-core` and the data-parallel training loops in
 //!   `create-agents`; it lives here, at the bottom of the crate graph,
 //!   so both can reach it.
+//! * [`seed`] — the SplitMix64 finalizer and the uniform `[0, 1)` draw
+//!   behind every derived seed, backoff jitter and chaos decision.
 //! * [`quant`] — per-tensor symmetric INT8/INT4 quantization, mirroring the
 //!   accelerator datapath of the paper (8-bit multipliers, 24-bit
 //!   accumulators, offline-profiled scales).
@@ -53,13 +52,13 @@
 
 pub mod atomicfile;
 pub mod crc;
-pub mod dispatch;
 pub mod envcfg;
 pub mod fgemm;
 pub mod hadamard;
 pub mod matrix;
 pub mod par;
 pub mod quant;
+pub mod seed;
 pub mod stats;
 
 pub use fgemm::{
